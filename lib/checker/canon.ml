@@ -27,15 +27,56 @@ module Stmt_tbl = Hashtbl.Make (struct
   let hash (s : t) = Hashtbl.hash s
 end)
 
+(* A reusable byte buffer: the encoding is digested in place, with no
+   copy of the bytes per digest. *)
+module Buf = struct
+  type t = { mutable bytes : Bytes.t; mutable len : int }
+
+  let create n = { bytes = Bytes.create n; len = 0 }
+  let clear b = b.len <- 0
+
+  let reserve b n =
+    if b.len + n > Bytes.length b.bytes then begin
+      let bytes = Bytes.create (max (2 * Bytes.length b.bytes) (b.len + n)) in
+      Bytes.blit b.bytes 0 bytes 0 b.len;
+      b.bytes <- bytes
+    end
+
+  (* zigzag varint, 7 bits per byte little-endian: at most 10 bytes *)
+  let add_int b i =
+    reserve b 10;
+    let rec go i =
+      if i land lnot 0x7f = 0 then begin
+        Bytes.unsafe_set b.bytes b.len (Char.unsafe_chr i);
+        b.len <- b.len + 1
+      end
+      else begin
+        Bytes.unsafe_set b.bytes b.len (Char.unsafe_chr (0x80 lor (i land 0x7f)));
+        b.len <- b.len + 1;
+        go (i lsr 7)
+      end
+    in
+    go (if i < 0 then (-2 * i) - 1 else 2 * i)
+
+  let add_string b s =
+    let n = String.length s in
+    reserve b n;
+    Bytes.unsafe_blit_string s 0 b.bytes b.len n;
+    b.len <- b.len + n
+
+  let digest b = Digest.subbytes b.bytes 0 b.len
+end
+
 type t = {
   stmt_ids : int Stmt_tbl.t;
   mutable next_stmt : int;
-  event_ids : int Names.Event.Tbl.t;
-  state_ids : int Names.State.Tbl.t;
-  machine_ids : int Names.Machine.Tbl.t;
-  var_ids : int Names.Var.Tbl.t;
-  action_ids : int Names.Action.Tbl.t;
-  buf : Buffer.t;
+  (* name codes, indexed by {!Names.ID.id}; -1 = not declared *)
+  event_codes : int array;
+  state_codes : int array;
+  machine_codes : int array;
+  var_codes : int array;
+  action_codes : int array;
+  buf : Buf.t;
   mutable rn : (int -> int) option;
       (** renaming applied to every machine identifier while encoding:
           symmetry reduction digests the π-renamed configuration without
@@ -65,64 +106,67 @@ let rec intern_all t (s : Ast.stmt) =
   | Ast.Skip | Ast.Assign _ | Ast.New _ | Ast.Delete | Ast.Send _ | Ast.Raise _
   | Ast.Leave | Ast.Return | Ast.Assert _ | Ast.Call_state _ | Ast.Foreign_stmt _ -> ()
 
+(* A code table over one namespace from [(name, code)] declarations, the
+   first declaration of a name winning. *)
+let codes id decls =
+  let n = List.fold_left (fun n (x, _) -> max n (id x + 1)) 0 decls in
+  let a = Array.make n (-1) in
+  List.iter (fun (x, c) -> if a.(id x) < 0 then a.(id x) <- c) decls;
+  a
+
+(* Raises [Not_found] on a name the program never declared. *)
+let code codes i =
+  if i < Array.length codes && Array.unsafe_get codes i >= 0 then
+    Array.unsafe_get codes i
+  else raise Not_found
+
 let create (tab : Symtab.t) : t =
+  let machines = tab.program.machines in
+  (* [(i * 1000) + j]: the [j]th declaration of machine [i] *)
+  let member f decls =
+    List.concat
+      (List.mapi (fun i m -> List.mapi (fun j d -> (f d, (i * 1000) + j)) (decls m)) machines)
+  in
   let t =
     { stmt_ids = Stmt_tbl.create 1024;
       next_stmt = 0;
-      event_ids = Names.Event.Tbl.create 64;
-      state_ids = Names.State.Tbl.create 256;
-      machine_ids = Names.Machine.Tbl.create 32;
-      var_ids = Names.Var.Tbl.create 64;
-      action_ids = Names.Action.Tbl.create 32;
-      buf = Buffer.create 512;
+      (* a duplicate event or machine's last declaration wins *)
+      event_codes =
+        codes Names.Event.id
+          (List.rev
+             (List.mapi (fun i (ev : Ast.event_decl) -> (ev.event_name, i)) tab.program.events));
+      state_codes =
+        codes Names.State.id
+          (member (fun (st : Ast.state) -> st.state_name) (fun (m : Ast.machine) -> m.states));
+      machine_codes =
+        codes Names.Machine.id
+          (List.rev (List.mapi (fun i (m : Ast.machine) -> (m.machine_name, i)) machines));
+      var_codes =
+        codes Names.Var.id
+          (member (fun (vd : Ast.var_decl) -> vd.var_name) (fun (m : Ast.machine) -> m.vars));
+      action_codes =
+        codes Names.Action.id
+          (member
+             (fun (ad : Ast.action_decl) -> ad.action_name)
+             (fun (m : Ast.machine) -> m.actions));
+      buf = Buf.create 512;
       rn = None }
   in
-  List.iteri
-    (fun i (ev : Ast.event_decl) -> Names.Event.Tbl.replace t.event_ids ev.event_name i)
-    tab.program.events;
-  List.iteri
-    (fun i (m : Ast.machine) ->
-      Names.Machine.Tbl.replace t.machine_ids m.machine_name i;
-      List.iteri
-        (fun j (st : Ast.state) ->
-          if not (Names.State.Tbl.mem t.state_ids st.state_name) then
-            Names.State.Tbl.replace t.state_ids st.state_name ((i * 1000) + j))
-        m.states;
-      List.iteri
-        (fun j (vd : Ast.var_decl) ->
-          if not (Names.Var.Tbl.mem t.var_ids vd.var_name) then
-            Names.Var.Tbl.replace t.var_ids vd.var_name ((i * 1000) + j))
-        m.vars;
-      List.iteri
-        (fun j (ad : Ast.action_decl) ->
-          if not (Names.Action.Tbl.mem t.action_ids ad.action_name) then
-            Names.Action.Tbl.replace t.action_ids ad.action_name ((i * 1000) + j))
-        m.actions;
-      List.iter (fun s -> intern_all t s) (Ast.machine_stmts m))
-    tab.program.machines;
+  List.iter (fun m -> List.iter (fun s -> intern_all t s) (Ast.machine_stmts m)) machines;
   t
 
 (* --- primitive encoders --- *)
 
-let add_int t i =
-  (* variable-length little-endian; sufficient and fast *)
-  let rec go i =
-    if i land lnot 0x7f = 0 then Buffer.add_char t.buf (Char.chr i)
-    else begin
-      Buffer.add_char t.buf (Char.chr (0x80 lor (i land 0x7f)));
-      go (i lsr 7)
-    end
-  in
-  go (if i < 0 then (-2 * i) - 1 else 2 * i)
+let add_int t i = Buf.add_int t.buf i
 
 let add_mid t i =
   match t.rn with None -> add_int t i | Some f -> add_int t (f i)
 
-let add_event t e = add_int t (Names.Event.Tbl.find t.event_ids e)
-let add_state t n = add_int t (Names.State.Tbl.find t.state_ids n)
-let add_machine_name t m = add_int t (Names.Machine.Tbl.find t.machine_ids m)
-let add_var t x = add_int t (Names.Var.Tbl.find t.var_ids x)
-let add_action t a = add_int t (Names.Action.Tbl.find t.action_ids a)
+let add_event t e = add_int t (code t.event_codes (Names.Event.id e))
+let add_state t n = add_int t (code t.state_codes (Names.State.id n))
+let add_machine_name t m = add_int t (code t.machine_codes (Names.Machine.id m))
+let add_var t x = add_int t (code t.var_codes (Names.Var.id x))
+let add_action t a = add_int t (code t.action_codes (Names.Action.id a))
 
 let add_value t (v : Value.t) =
   match v with
@@ -228,10 +272,10 @@ let with_rename t rename f =
     encoding (the binding id included) goes through the renaming first. *)
 let machine_digest ?rename t (id : Mid.t) (m : Machine.t) : string =
   with_rename t rename (fun () ->
-      Buffer.clear t.buf;
+      Buf.clear t.buf;
       add_mid t (Mid.to_int id);
       add_machine t m;
-      Digest.string (Buffer.contents t.buf))
+      Buf.digest t.buf)
 
 (** Identity-blind digest of one machine: the same encoding with every
     machine identifier masked to a constant. Machines of one type that
@@ -261,7 +305,7 @@ let sorted_bindings t (config : Config.t) =
 let digest ?rename t (config : Config.t) (extra : int list) : string =
   with_rename t rename (fun () ->
       let bindings = sorted_bindings t config in
-      Buffer.clear t.buf;
+      Buf.clear t.buf;
       add_int t (Mid.to_int config.next_id);
       add_int t (Config.live_count config);
       List.iter
@@ -277,4 +321,4 @@ let digest ?rename t (config : Config.t) (extra : int list) : string =
          is length-prefixed, so a trailing varint cannot be confused with
          extra content. *)
       if config.fseq > 0 then add_int t config.fseq;
-      Digest.string (Buffer.contents t.buf))
+      Buf.digest t.buf)

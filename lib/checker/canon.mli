@@ -4,10 +4,27 @@
     program), names map to dense integers, and a configuration encodes to a
     short byte string whose MD5 digest is the state key. *)
 
+(** A reusable byte buffer holding one encoding, digested in place. *)
+module Buf : sig
+  type t
+
+  val create : int -> t
+  val clear : t -> unit
+
+  val add_int : t -> int -> unit
+  (** Zigzag varint, 7 bits per byte — the encoding's one integer form. *)
+
+  val add_string : t -> string -> unit
+
+  val digest : t -> Digest.t
+  (** MD5 of the bytes added since the last {!clear}. *)
+end
+
 type t
 
 val create : P_static.Symtab.t -> t
-(** Build the interning tables for one program. Encoders are stateful and
+(** Build the interning tables for one program. Encoding a name the
+    program never declared raises [Not_found]. Encoders are stateful and
     not thread-safe: use one per domain (interning is deterministic, so
     separate encoders produce identical digests). *)
 

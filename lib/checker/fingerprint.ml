@@ -51,6 +51,7 @@
 module Config = P_semantics.Config
 module Machine = P_semantics.Machine
 module Mid = P_semantics.Mid
+module Buf = Canon.Buf
 
 type mode = Full | Incremental | Paranoid
 
@@ -68,7 +69,7 @@ let mode_of_string = function
 type t = {
   canon : Canon.t;
   mode : mode;
-  buf : Buffer.t;
+  buf : Buf.t;
   (* paranoid-mode bijection witnesses: incremental <-> full *)
   incr_to_full : (string, string) Hashtbl.t;
   full_to_incr : (string, string) Hashtbl.t;
@@ -81,7 +82,7 @@ type t = {
 let create ?(mode = Incremental) tab =
   { canon = Canon.create tab;
     mode;
-    buf = Buffer.create 256;
+    buf = Buf.create 256;
     incr_to_full = Hashtbl.create 64;
     full_to_incr = Hashtbl.create 64;
     requests = 0;
@@ -94,17 +95,6 @@ let requests t = t.requests
 let hits t = t.hits
 let misses t = t.misses
 let collisions t = t.collisions
-
-(* Same varint as Canon.add_int (zigzag, 7 bits per byte). *)
-let add_int buf i =
-  let rec go i =
-    if i land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr i)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (i land 0x7f)));
-      go (i lsr 7)
-    end
-  in
-  go (if i < 0 then (-2 * i) - 1 else 2 * i)
 
 let machine_digest t id (m : Machine.t) =
   t.requests <- t.requests + 1;
@@ -206,24 +196,24 @@ let renaming t (config : Config.t) : (int -> int) option =
     else Some (fun i -> match Hashtbl.find_opt map i with Some j -> j | None -> i)
 
 let incremental ?rename t (config : Config.t) (extra : int list) : string =
-  Buffer.clear t.buf;
-  add_int t.buf (Mid.to_int config.next_id);
-  add_int t.buf (Config.live_count config);
+  Buf.clear t.buf;
+  Buf.add_int t.buf (Mid.to_int config.next_id);
+  Buf.add_int t.buf (Config.live_count config);
   (match rename with
   | None ->
-    Config.fold (fun id m () -> Buffer.add_string t.buf (machine_digest t id m)) config ()
+    Config.fold (fun id m () -> Buf.add_string t.buf (machine_digest t id m)) config ()
   | Some rn ->
     (* renamed ids reorder the machines; the memo holds identity-renamed
        digests, so each machine is re-encoded under π *)
     Config.fold (fun id m acc -> (rn (Mid.to_int id), id, m) :: acc) config []
     |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
     |> List.iter (fun (_, id, m) ->
-           Buffer.add_string t.buf (Canon.machine_digest ~rename:rn t.canon id m)));
-  add_int t.buf (List.length extra);
-  List.iter (add_int t.buf) extra;
+           Buf.add_string t.buf (Canon.machine_digest ~rename:rn t.canon id m)));
+  Buf.add_int t.buf (List.length extra);
+  List.iter (Buf.add_int t.buf) extra;
   (* mirrors Canon.digest: fault counter appended only when nonzero *)
-  if config.fseq > 0 then add_int t.buf config.fseq;
-  Digest.string (Buffer.contents t.buf)
+  if config.fseq > 0 then Buf.add_int t.buf config.fseq;
+  Buf.digest t.buf
 
 (* ------------------------------------------------------------------ *)
 (* Integer fingerprints (for the arena-backed state stores)            *)

@@ -42,7 +42,10 @@ type shard = {
       [inbound] so transfer counters honestly measure only cross-shard
       traffic — a single-shard run consumes zero transfer batches *)
   pending : int Atomic.t;  (** in-flight transfer + ingress messages *)
-  idle : bool Atomic.t;
+  phase : int Atomic.t;
+      (** odd = idle. The owner bumps it on every idle ↔ busy change, so
+          {!quiesce} can tell a shard that stayed idle from one that woke
+          and went idle again. *)
   (* producer-side buffers for every destination, owned by this shard's
      domain: out.(d) are messages bound for shard d, newest first *)
   out : msg list array;
@@ -124,6 +127,18 @@ let buffer t s d msg =
   sh.outn.(d) <- sh.outn.(d) + 1;
   if sh.outn.(d) >= t.batch then flush_one t s d
 
+(* Leave idle before taking work. Drained messages release their
+   [pending] slots before they run, so a shard must stop reading idle
+   first, or {!quiesce} could see it idle with no pending slot and
+   drained work unrun. *)
+let wake sh =
+  let p = Atomic.get sh.phase in
+  if p land 1 = 1 then Atomic.set sh.phase (p + 1)
+
+let sleep sh =
+  let p = Atomic.get sh.phase in
+  if p land 1 = 0 then Atomic.set sh.phase (p + 1)
+
 (* Drain one of shard [sh]'s queues: one exchange takes every batch
    pushed since the last drain; reversal restores per-producer FIFO
    order. Returns [(batches, messages)] processed. *)
@@ -131,6 +146,7 @@ let drain_queue (sh : shard) (q : node Atomic.t) : int * int =
   match Atomic.exchange q Nil with
   | Nil -> (0, 0)
   | node ->
+    wake sh;
     let rec batches acc = function
       | Nil -> acc  (* acc is oldest-first after the walk *)
       | Batch { msgs; next } -> batches (msgs :: acc) next
@@ -246,7 +262,7 @@ let create ?(shards = 1) ?(policy = Sched.Fifo) ?quantum ?capacity
                 inbound = Atomic.make Nil;
                 ingress = Atomic.make Nil;
                 pending = Atomic.make 0;
-                idle = Atomic.make false;
+                phase = Atomic.make 0;
                 out = Array.make shards [];
                 outn = Array.make shards 0;
                 c_xfer_batches = 0;
@@ -300,14 +316,14 @@ let shard_loop t s =
        if drained = 0 && ran = 0 then begin
          if !idle_rounds = 0 then begin
            Sched.flush_metrics sh.sched;
-           Atomic.set sh.idle true
+           sleep sh
          end;
          incr idle_rounds;
          (* stay hot briefly, then let hyperthread siblings breathe *)
          if !idle_rounds < 1000 then Domain.cpu_relax () else Thread.yield ()
        end
        else begin
-         if !idle_rounds > 0 then Atomic.set sh.idle false;
+         wake sh;
          idle_rounds := 0
        end
      done
@@ -318,7 +334,7 @@ let shard_loop t s =
      wait on mail that was never sent *)
   flush_all t s;
   Sched.flush_metrics sh.sched;
-  Atomic.set sh.idle true
+  sleep sh
 
 (* ------------------------------------------------------------------ *)
 (* External ingress and machine creation                               *)
@@ -350,36 +366,47 @@ let post t dst ~event payload : Context.backpressure =
 (* Quiescence, stop, stats                                             *)
 (* ------------------------------------------------------------------ *)
 
-let all_idle t =
-  Array.for_all
-    (fun sh ->
-      Atomic.get sh.idle
-      && Atomic.get sh.pending = 0
-      && Atomic.get sh.inbound = Nil
-      && Atomic.get sh.ingress = Nil)
-    t.shards
+(* One pass over the shards: every shard's phase when all are idle with
+   empty queues, [None] otherwise. *)
+let idle_phases t =
+  let rec go i acc =
+    if i < 0 then Some acc
+    else
+      let sh = t.shards.(i) in
+      let p = Atomic.get sh.phase in
+      if
+        p land 1 = 1
+        && Atomic.get sh.pending = 0
+        && Atomic.get sh.inbound = Nil
+        && Atomic.get sh.ingress = Nil
+      then go (i - 1) (p :: acc)
+      else None
+  in
+  go (t.n - 1) []
 
-(** Wait until every shard is idle with empty queues (stable across two
-    observations), a failure surfaces, or [timeout_s] passes. Returns
-    [true] on quiescence. *)
+(** Wait until every shard is idle with empty queues, a failure surfaces,
+    or [timeout_s] passes. Returns [true] on quiescence.
+
+    Quiescence is two passes that find every shard idle in the same
+    phase. Each shard then stayed idle from its first read to its second,
+    so between the end of the first pass and the start of the second all
+    were idle at once and none sent anything. A message still in flight
+    then would have kept a [pending] slot, or woken its receiver, by the
+    second pass. *)
 let quiesce ?(timeout_s = 60.0) t =
   let t0 = P_obs.Mclock.now_us () in
   let deadline = t0 +. (timeout_s *. 1e6) in
-  let rec wait stable =
+  let rec wait () =
     if Atomic.get t.failure <> None || Atomic.get t.stop then true
     else if P_obs.Mclock.now_us () > deadline then false
-    else if all_idle t then
-      if stable then true
-      else begin
-        Domain.cpu_relax ();
-        wait true
-      end
-    else begin
-      Thread.yield ();
-      wait false
-    end
+    else
+      match idle_phases t with
+      | Some phases when idle_phases t = Some phases -> true
+      | _ ->
+        Thread.yield ();
+        wait ()
   in
-  wait false
+  wait ()
 
 type stats = {
   sh_shards : int;

@@ -309,6 +309,77 @@ let test_incremental_matches_canon_partition () =
         (fun f -> (f, tab_of (P_parser.Parser.program_of_file (find_p_file f))))
         [ "elevator.p"; "ring.p"; "failover.p" ])
 
+(* ---------------- canonical bytes are pinned ---------------- *)
+
+(* Trace artifacts record [Canon.digest] hex, and the seen set keys on the
+   incremental fingerprint, so the canonical encoding must never drift.
+   Fold both — identity and symmetry-renamed — over the first 2,000 BFS
+   states of three workloads into one hex chain per workload. *)
+let canonical_chain tab =
+  let canon = Canon.create tab in
+  let fp = Fingerprint.create ~mode:Fingerprint.Incremental tab in
+  let acc = ref "" in
+  let fold d = acc := Digest.to_hex (Digest.string (!acc ^ Digest.to_hex d)) in
+  let observer =
+    { Engine.on_state =
+        (fun sidx config ->
+          if sidx < 2_000 then begin
+            let rename = Fingerprint.renaming fp config in
+            fold (Canon.digest canon config []);
+            fold (Fingerprint.digest fp config []);
+            fold (Canon.digest ?rename canon config [ 1 ]);
+            fold (Fingerprint.digest ?rename fp config [ 1 ])
+          end);
+      Engine.on_edge = (fun ~src:_ ~src_config:_ ~by:_ ~resolved:_ ~dst:_ -> ()) }
+  in
+  let spec =
+    Engine.spec ~bound:2 ~max_states:2_000 ~stop_on_error:false
+      (Engine.stack_sched Engine.Causal)
+  in
+  let r = Engine.run ~observer ~engine:"canonical_chain" spec tab in
+  (!acc, r.stats.states)
+
+let test_canonical_bytes_pinned () =
+  List.iter
+    (fun (name, tab, expected) ->
+      let chain, states = canonical_chain tab in
+      check bool_t (name ^ " reaches 2,000 states") true (states >= 2_000);
+      check Alcotest.string (name ^ " canonical chain") expected chain)
+    [ ("german", german (), "bca74487714137e3b4c16b7ff99f9383");
+      ("elevator", elevator (), "b1c88dcee1626c18ee6f3fde4780f44b");
+      ("usb", tab_of (P_usb.Stack.program ()), "26d2c8a52a445e74f0197b8fac556889") ]
+
+(* A one-machine program whose names are all new to the process. *)
+let fresh_program prefix =
+  let open P_syntax.Builder in
+  program
+    ~events:[ event (prefix ^ "_E") ]
+    ~machines:
+      [ machine (prefix ^ "_M")
+          ~vars:[ var_decl (prefix ^ "_x") P_syntax.Ptype.Int ]
+          [ state (prefix ^ "_S") ~entry:(assign (prefix ^ "_x") (int 1)) ] ]
+    (prefix ^ "_M")
+
+(* Names live in process-wide namespaces, so an encoder meets names other
+   programs declared — interned before its own (an id inside its code
+   tables) or after it was built (an id past their end). Both must raise. *)
+let test_canon_rejects_undeclared () =
+  let before = tab_of (fresh_program "canon_before") in
+  let own = tab_of (fresh_program "canon_own") in
+  let canon = Canon.create own in
+  let after = tab_of (fresh_program "canon_after") in
+  let config tab =
+    let c, _, _ = P_semantics.Step.initial_config tab in
+    c
+  in
+  ignore (Canon.digest canon (config own) [] : string);
+  List.iter
+    (fun (name, tab) ->
+      match Canon.digest canon (config tab) [] with
+      | _ -> Alcotest.failf "%s: undeclared names were encoded" name
+      | exception Not_found -> ())
+    [ ("interned before", before); ("interned after", after) ]
+
 (* ---------------- the physical-sharing contract ---------------- *)
 
 (* One atomic block must return a configuration sharing every untouched
@@ -491,6 +562,10 @@ let suite =
       test_paranoid_no_collisions;
     Alcotest.test_case "incremental fingerprint ≡ Canon partition" `Quick
       test_incremental_matches_canon_partition;
+    Alcotest.test_case "canonical bytes are pinned" `Quick
+      test_canonical_bytes_pinned;
+    Alcotest.test_case "Canon rejects undeclared names" `Quick
+      test_canon_rejects_undeclared;
     Alcotest.test_case "atomic blocks share untouched machines" `Quick
       test_changed_machines_small;
     Alcotest.test_case "reduction differential on the example suite" `Quick

@@ -37,6 +37,60 @@ let test_names_set_map () =
   let m = Map.add (of_string "x") 1 Map.empty in
   check int_t "map" 1 (Map.find (of_string "x") m)
 
+(* ---------------- Interning ---------------- *)
+
+let gen_text = QCheck2.Gen.(string_size ~gen:printable (int_range 0 12))
+
+let prop_intern_unique =
+  QCheck2.Test.make ~name:"of_string s == of_string s" ~count:500 gen_text (fun s ->
+      (* a fresh copy of the text, so only interning can make them [==] *)
+      let copy = String.init (String.length s) (String.get s) in
+      Names.Event.of_string s == Names.Event.of_string copy)
+
+let prop_intern_order_and_hash =
+  QCheck2.Test.make ~name:"compare and hash agree with the text's" ~count:500
+    QCheck2.Gen.(pair gen_text gen_text)
+    (fun (a, b) ->
+      let na = Names.Var.of_string a and nb = Names.Var.of_string b in
+      Int.compare (Names.Var.compare na nb) 0 = Int.compare (String.compare a b) 0
+      && Names.Var.hash na = Hashtbl.hash a
+      && Names.Var.equal na nb = String.equal a b)
+
+(* Four domains intern the same fresh texts at once, two of them in
+   reverse order: every text gets one value, and the ids are exactly
+   0..n-1. *)
+let test_intern_across_domains () =
+  let module N = Names.String_id () in
+  let n = 1_000 in
+  let texts = Array.init n (Printf.sprintf "name%d") in
+  let start = Atomic.make false in
+  let worker d () =
+    while not (Atomic.get start) do
+      Domain.cpu_relax ()
+    done;
+    Array.init n (fun i ->
+        let i = if d land 1 = 0 then i else n - 1 - i in
+        N.of_string texts.(i))
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+  Atomic.set start true;
+  let results = List.map Domain.join domains in
+  let ids = Hashtbl.create n in
+  List.iteri
+    (fun d values ->
+      Array.iteri
+        (fun j v ->
+          let i = if d land 1 = 0 then j else n - 1 - j in
+          check string_t "text" texts.(i) (N.to_string v);
+          check bool_t "one value per text" true (v == N.of_string texts.(i));
+          Hashtbl.replace ids (N.id v) ())
+        values)
+    results;
+  check int_t "distinct ids" n (Hashtbl.length ids);
+  for i = 0 to n - 1 do
+    check bool_t "dense ids" true (Hashtbl.mem ids i)
+  done
+
 (* ---------------- Ptype ---------------- *)
 
 let test_ptype_strings () =
@@ -163,6 +217,9 @@ let suite =
     Alcotest.test_case "loc compare" `Quick test_loc_compare;
     Alcotest.test_case "names roundtrip" `Quick test_names_roundtrip;
     Alcotest.test_case "names set/map" `Quick test_names_set_map;
+    QCheck_alcotest.to_alcotest prop_intern_unique;
+    QCheck_alcotest.to_alcotest prop_intern_order_and_hash;
+    Alcotest.test_case "interning across 4 domains" `Quick test_intern_across_domains;
     Alcotest.test_case "ptype strings" `Quick test_ptype_strings;
     Alcotest.test_case "ptype assignable" `Quick test_ptype_assignable;
     Alcotest.test_case "ast lookups" `Quick test_ast_lookups;
