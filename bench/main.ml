@@ -853,7 +853,7 @@ let reduce_bench ?(smoke = false) () : bool =
 
 (* Extends the section 4.1 efficiency comparison from one device to a
    served fleet: an open-loop generator posts requests into the
-   effects-based sharded runtime and reports sustained events/sec plus
+   sharded runtime and reports sustained events/sec plus
    post-to-served latency percentiles per shard count. Run-varying counts
    (completed, shed) are emitted as floats so [compare] never gates them;
    the gated metrics are events_per_s (higher-better) and the latency

@@ -60,8 +60,13 @@ let bytes_per_word = float_of_int (Sys.word_size / 8)
    The minor term comes from [Gc.minor_words ()], which reads the live
    allocation pointer — [quick_stat]'s copy only advances at collection
    boundaries, so a run too short to trigger a minor collection would
-   read 0 allocated. *)
+   read 0 allocated. On OCaml 5 the major count takes in a minor
+   collection's promoted words only at a later collection, so across a
+   collection the identity can fall by up to a minor heap; collecting
+   first brings both counts up to date (one minor collection per
+   sample). *)
 let allocated_words () =
+  Gc.minor ();
   let g = Gc.quick_stat () in
   Gc.minor_words () +. g.Gc.major_words -. g.Gc.promoted_words
 
@@ -128,8 +133,8 @@ let sample_locked (s : state) now =
     let p = probe () in
     let dt_s = (now -. s.last_us) /. 1e6 in
     let rate cur last = if dt_s > 0.0 then float_of_int (cur - last) /. dt_s else 0.0 in
+    let alloc_w = allocated_words () -. s.alloc0_w in
     let g = Gc.quick_stat () in
-    let alloc_w = Gc.minor_words () +. g.Gc.major_words -. g.Gc.promoted_words -. s.alloc0_w in
     let alloc_b = alloc_w *. bytes_per_word in
     let x =
       { ts_us = now;

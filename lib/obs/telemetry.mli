@@ -52,7 +52,7 @@ type probe = {
 (** What the engine reports when asked: its live totals. Sequential
     engines leave the steal fields 0; the serving runtime ({!P_runtime}'s
     shard layer) maps states to events processed, transitions to local
-    deliveries, frontier to ready fibers, and counts its sheds. *)
+    deliveries, frontier to ready machines, and counts its sheds. *)
 
 type t
 

@@ -35,12 +35,20 @@ type enqueue_result = Enq_ok | Enq_duplicate | Enq_overflow
     [⊕] keeps the queue duplicate-free on its own, but a duplication
     fault ({!enqueue_no_dedup}) deliberately bypasses it, and a counting
     table keeps [⊕] correct after the first copy of a duplicated entry
-    dequeues. *)
+    dequeues. Its hash and equality are {!Rt_value}'s own, not the
+    polymorphic ones. *)
+module Members = Hashtbl.Make (struct
+  type t = int * Rt_value.t
+
+  let equal ((e1, v1) : t) ((e2, v2) : t) = Int.equal e1 e2 && Rt_value.equal v1 v2
+  let hash ((e, v) : t) = (Rt_value.hash v * 31) + e
+end)
+
 type inbox = {
   mutable ib_front : (int * Rt_value.t) list;  (** next to dequeue first *)
   mutable ib_back : (int * Rt_value.t) list;  (** reversed: newest first *)
   mutable ib_size : int;
-  ib_members : (int * Rt_value.t, int) Hashtbl.t;  (** occurrence counts *)
+  ib_members : int Members.t;  (** occurrence counts *)
 }
 
 type task =
@@ -91,7 +99,7 @@ let create ?(capacity = max_int) ~self ~ty ~(table : Tables.machine_table) () : 
       (match table.mt_states with
       | [||] -> []
       | states -> [ Exec states.(0).st_entry ]);
-    inbox = { ib_front = []; ib_back = []; ib_size = 0; ib_members = Hashtbl.create 16 };
+    inbox = { ib_front = []; ib_back = []; ib_size = 0; ib_members = Members.create 16 };
     alive = true;
     scheduled = false;
     capacity = (if capacity <= 0 then invalid_arg "Context.create: capacity" else capacity);
@@ -110,36 +118,32 @@ let is_deferred t event =
   | [] -> false
   | f :: _ ->
     let st = state_table t f.f_state in
-    let declared = st.st_deferred.(event) in
-    let inherited = f.f_amap.(event) = HDefer in
-    let overridden =
-      st.st_steps.(event) <> None || st.st_calls.(event) <> None
-      || st.st_actions.(event) <> None
-    in
-    (declared || inherited) && not overridden
-
-(** Append with the deduplicating [⊕] of the SEND rule. Amortized O(1):
-    membership is a hash lookup ([Rt_value] values are plain immutable
-    variants, so generic hashing and equality agree with
-    {!Rt_value.equal}), and the entry is consed onto the back list. *)
-let member_count (ib : inbox) key =
-  Option.value ~default:0 (Hashtbl.find_opt ib.ib_members key)
+    let inherited = match f.f_amap.(event) with HDefer -> true | HNone | HAction _ -> false in
+    (st.st_deferred.(event) || inherited)
+    && Option.is_none st.st_steps.(event)
+    && Option.is_none st.st_calls.(event)
+    && Option.is_none st.st_actions.(event)
 
 let member_incr (ib : inbox) key =
-  Hashtbl.replace ib.ib_members key (member_count ib key + 1)
+  match Members.find_opt ib.ib_members key with
+  | None -> Members.add ib.ib_members key 1
+  | Some n -> Members.replace ib.ib_members key (n + 1)
 
 let member_decr (ib : inbox) key =
-  match member_count ib key with
-  | n when n <= 1 -> Hashtbl.remove ib.ib_members key
-  | n -> Hashtbl.replace ib.ib_members key (n - 1)
+  match Members.find_opt ib.ib_members key with
+  | Some n when n > 1 -> Members.replace ib.ib_members key (n - 1)
+  | Some _ | None -> Members.remove ib.ib_members key
 
+(** Append with the deduplicating [⊕] of the SEND rule. Amortized O(1):
+    membership is a hash lookup and the entry is consed onto the back
+    list. *)
 let enqueue t event payload : enqueue_result =
   let ib = t.inbox in
   let key = (event, payload) in
-  if member_count ib key > 0 then Enq_duplicate
+  if Members.mem ib.ib_members key then Enq_duplicate
   else if ib.ib_size >= t.capacity then Enq_overflow
   else begin
-    member_incr ib key;
+    Members.add ib.ib_members key 1;
     ib.ib_back <- key :: ib.ib_back;
     ib.ib_size <- ib.ib_size + 1;
     Enq_ok
@@ -165,10 +169,10 @@ let enqueue_no_dedup t event payload : enqueue_result =
 let enqueue_front t event payload : enqueue_result =
   let ib = t.inbox in
   let key = (event, payload) in
-  if member_count ib key > 0 then Enq_duplicate
+  if Members.mem ib.ib_members key then Enq_duplicate
   else if ib.ib_size >= t.capacity then Enq_overflow
   else begin
-    member_incr ib key;
+    Members.add ib.ib_members key 1;
     ib.ib_front <- key :: ib.ib_front;
     ib.ib_size <- ib.ib_size + 1;
     Enq_ok
@@ -177,28 +181,29 @@ let enqueue_front t event payload : enqueue_result =
 (* Move the back list to the front (once per element over the queue's
    lifetime), so dequeue scans a single in-order list. *)
 let normalize (ib : inbox) =
-  if ib.ib_back <> [] then begin
-    ib.ib_front <- ib.ib_front @ List.rev ib.ib_back;
+  match ib.ib_back with
+  | [] -> ()
+  | back ->
+    ib.ib_front <- ib.ib_front @ List.rev back;
     ib.ib_back <- []
-  end
 
 (** Dequeue the first non-deferred entry, if any; deferred entries keep
     their queue positions (the DEQUEUE rule scans past them). *)
+let rec dequeue_scan t skipped = function
+  | [] -> None
+  | ((e, _) as entry) :: rest ->
+    if is_deferred t e then dequeue_scan t (entry :: skipped) rest
+    else begin
+      let ib = t.inbox in
+      ib.ib_front <- List.rev_append skipped rest;
+      ib.ib_size <- ib.ib_size - 1;
+      member_decr ib entry;
+      Some entry
+    end
+
 let dequeue t : (int * Rt_value.t) option =
-  let ib = t.inbox in
-  normalize ib;
-  let rec scan skipped = function
-    | [] -> None
-    | ((e, _) as entry) :: rest ->
-      if is_deferred t e then scan (entry :: skipped) rest
-      else begin
-        ib.ib_front <- List.rev_append skipped rest;
-        ib.ib_size <- ib.ib_size - 1;
-        member_decr ib entry;
-        Some entry
-      end
-  in
-  scan [] ib.ib_front
+  normalize t.inbox;
+  dequeue_scan t [] t.inbox.ib_front
 
 (** Dequeue the SECOND non-deferred entry — a delay fault
     ({!P_semantics.Equeue.dequeue_second}'s twin). Falls back to the
@@ -230,7 +235,8 @@ let has_dequeuable t =
   List.exists not_deferred t.inbox.ib_front
   || List.exists not_deferred t.inbox.ib_back
 
-let is_runnable t = t.alive && (t.agenda <> [] || has_dequeuable t)
+let is_runnable t =
+  t.alive && match t.agenda with [] -> has_dequeuable t | _ :: _ -> true
 
 (** Crash-restart: re-enter the initial state with the persistent store
     (variable values) intact — the runtime twin of
@@ -255,4 +261,4 @@ let restart t : unit =
   ib.ib_front <- [];
   ib.ib_back <- [];
   ib.ib_size <- 0;
-  Hashtbl.reset ib.ib_members
+  Members.reset ib.ib_members

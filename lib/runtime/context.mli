@@ -15,7 +15,7 @@ type handler = HNone | HDefer | HAction of int
 (** What happened to an event offered to the runtime: ran immediately
     ([Accepted]), parked in a mailbox ([Queued]), or dropped because a
     bound was reached ([Shed]). The typed backpressure contract shared by
-    {!Api}, the effects scheduler and the shard layer. *)
+    {!Api}, the {!Sched} scheduler and the shard layer. *)
 type backpressure = Accepted | Queued | Shed
 
 (** Outcome of a single mailbox [enqueue]: [Enq_duplicate] is the
@@ -41,12 +41,15 @@ type frame = {
     historical list-append representation made bursty workloads O(n²)).
     The table counts occurrences: a duplication fault
     ({!enqueue_no_dedup}) can put the same entry in the queue twice, and
-    [⊕] must stay correct after the first copy dequeues. *)
+    [⊕] must stay correct after the first copy dequeues. The table hashes
+    and compares with {!Rt_value.hash} and {!Rt_value.equal}. *)
+module Members : Hashtbl.S with type key = int * Rt_value.t
+
 type inbox = {
   mutable ib_front : (int * Rt_value.t) list;  (** next to dequeue first *)
   mutable ib_back : (int * Rt_value.t) list;  (** reversed: newest first *)
   mutable ib_size : int;
-  ib_members : (int * Rt_value.t, int) Hashtbl.t;  (** occurrence counts *)
+  ib_members : int Members.t;  (** occurrence counts *)
 }
 
 type t = {

@@ -16,7 +16,8 @@
     table and every inbox are protected by the runtime's lock, which is
     *not* held while machine code runs, so concurrent host threads can
     drive disjoint machines in parallel (the per-instance locking the paper
-    describes). *)
+    describes). A [Scheduled] runtime is owned by the one domain running
+    its {!Sched}, so in that mode the lock is never taken. *)
 
 module Tables = P_compile.Tables
 
@@ -43,43 +44,26 @@ type stepped = {
 exception Choice_needed
 (** A [*] was evaluated past the end of [sp_choices]. *)
 
-(** Scheduled (effects) mode: sends, spawns, [*] choices and quantum
-    expiry perform effects instead of recursing on the caller's stack, so
-    a {!Sched} handler can multiplex thousands of machine fibers on one
-    domain. [sc_left] is the remaining dequeue budget of the running
-    fiber; when it reaches zero the machine loop performs {!Sched_yield}
-    at its next dequeue point (a scheduling point in the semantics), which
-    lets a serving scheduler preempt chatty machines without breaking
-    atomic-block boundaries. *)
+(** Scheduled mode: machine code calls the owning {!Sched}'s functions
+    directly instead of recursing into {!deliver}. Once [sc_left] reaches
+    zero, {!run_machine} stops at its next block boundary and sets
+    [sc_preempted]; the machine state there lives entirely in its
+    {!Context.t}, so the scheduler simply re-queues it. *)
 type sched_mode = {
   sc_quantum : int;
   mutable sc_left : int;
+  mutable sc_preempted : bool;
+  sc_send : src:int -> int -> int -> Rt_value.t -> Context.backpressure;
+      (** [sc_send ~src dst event payload] *)
+  sc_spawn : creator:int -> int -> (int * Rt_value.t) list -> int;
+      (** [sc_spawn ~creator ty inits] returns the child's handle *)
+  sc_choose : Context.t -> bool;  (** resolves a ghost [*] *)
 }
 
 type mode =
   | Nested  (** run-to-completion on the calling thread (the d = 0 schedule) *)
   | Stepped of stepped  (** differential replay via {!step_block} *)
-  | Scheduled of sched_mode  (** cooperative fibers under a {!Sched} handler *)
-
-(** The effects performed by machine code in [Scheduled] mode. Declared
-    here (the lowest layer) so the machine loop can perform them; handled
-    exclusively by [Sched.run_fiber]. *)
-type _ Effect.t +=
-  | Sched_send : {
-      src : Context.t;
-      dst : int;
-      event : int;
-      payload : Rt_value.t;
-    }
-      -> Context.backpressure Effect.t
-  | Sched_spawn : {
-      creator : Context.t;
-      ty : int;
-      inits : (int * Rt_value.t) list;
-    }
-      -> int Effect.t
-  | Sched_yield : Context.t -> unit Effect.t
-  | Sched_choose : Context.t -> bool Effect.t
+  | Scheduled of sched_mode  (** direct calls into one domain's {!Sched} *)
 
 exception
   Mailbox_overflow of {
@@ -106,13 +90,15 @@ type t = {
   driver : Tables.driver;
   instances : (int, Context.t) Hashtbl.t;
   mutable next_handle : int;
-  foreigns : (string, foreign_fn) Hashtbl.t;
+  foreigns : foreign_fn array array;
+      (** per machine type, per [mt_foreigns] index; filled by
+          {!register_foreign} *)
   lock : Mutex.t;
   mutable trace_hook : (Rt_trace.item -> unit) option;
   mutable meters : rt_meters option;
   mutable mode : mode;
       (** [Stepped _] only inside {!step_block}; [Scheduled _] only under a
-          {!Sched} handler *)
+          {!Sched} *)
   mutable default_capacity : int;
       (** mailbox capacity for instances created from here on *)
   mutable n_dequeued : int;  (** events processed, all modes; cheap stat *)
@@ -127,7 +113,15 @@ let create (driver : Tables.driver) : t =
   { driver;
     instances = Hashtbl.create 16;
     next_handle = 0;
-    foreigns = Hashtbl.create 16;
+    foreigns =
+      (* until registered, a foreign's slot fails the call itself *)
+      Array.map
+        (fun (m : Tables.machine_table) ->
+          Array.map
+            (fun (fs : Tables.foreign_sig) _ _ ->
+              error "foreign function %s is not registered" fs.fs_name)
+            m.mt_foreigns)
+        driver.dr_machines;
     lock = Mutex.create ();
     trace_hook = None;
     meters = None;
@@ -145,12 +139,9 @@ let set_mailbox_capacity rt capacity =
   if capacity <= 0 then invalid_arg "Exec.set_mailbox_capacity";
   rt.default_capacity <- capacity
 
-let scheduled_mode rt ~quantum =
-  if quantum <= 0 then invalid_arg "Exec.scheduled_mode: quantum";
-  rt.mode <- Scheduled { sc_quantum = quantum; sc_left = quantum }
-
-let reset_quantum rt =
-  match rt.mode with Scheduled sc -> sc.sc_left <- sc.sc_quantum | _ -> ()
+let scheduled_mode rt sc =
+  if sc.sc_quantum <= 0 then invalid_arg "Exec.scheduled_mode: quantum";
+  rt.mode <- Scheduled sc
 
 let events_dequeued rt = rt.n_dequeued
 
@@ -188,15 +179,31 @@ let set_metrics (rt : t) (reg : P_obs.Metrics.t option) : unit =
 
 let emit rt item = match rt.trace_hook with None -> () | Some f -> f item
 
+(* Trace items are built only under a hook: [if tracing rt then emit ...]. *)
+let tracing rt = match rt.trace_hook with None -> false | Some _ -> true
+
+(* A [Scheduled] runtime has one owner and takes no lock. *)
 let with_lock rt f =
-  Mutex.lock rt.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock rt.lock) f
+  match rt.mode with Scheduled _ -> f () | Nested | Stepped _ -> Mutex.protect rt.lock f
 
 (** Register the implementation of a foreign function (the paper's
-    driver-specific C files). *)
-let register_foreign rt name fn = Hashtbl.replace rt.foreigns name fn
+    driver-specific C files): every machine type declaring [name] calls
+    [fn] from now on. *)
+let register_foreign rt name fn =
+  Array.iteri
+    (fun ty (m : Tables.machine_table) ->
+      Array.iteri
+        (fun f (fs : Tables.foreign_sig) ->
+          if String.equal fs.fs_name name then rt.foreigns.(ty).(f) <- fn)
+        m.mt_foreigns)
+    rt.driver.dr_machines
 
-let find_instance rt handle = with_lock rt (fun () -> Hashtbl.find_opt rt.instances handle)
+(* Matched by hand, not through [with_lock]: the scheduled send path
+   calls this once per event and should not allocate a closure. *)
+let find_instance rt handle =
+  match rt.mode with
+  | Scheduled _ -> Hashtbl.find_opt rt.instances handle
+  | Nested | Stepped _ -> with_lock rt (fun () -> Hashtbl.find_opt rt.instances handle)
 
 let event_name rt e = fst rt.driver.dr_events.(e)
 let state_name (ctx : Context.t) s = ctx.table.mt_states.(s).Tables.st_name
@@ -224,19 +231,16 @@ let rec eval rt (ctx : Context.t) (e : Tables.cexpr) : Rt_value.t =
     let va = eval rt ctx a in
     let vb = eval rt ctx b in
     Rt_value.binop op va vb
-  | Tables.CForeign_call (f, args) ->
-    let fs = ctx.table.mt_foreigns.(f) in
-    let values = List.map (eval rt ctx) args in
-    call_foreign rt ctx fs.fs_name values
+  | Tables.CForeign_call (f, args) -> call_foreign rt ctx f args
   | Tables.CNondet -> (
     (* only full (differential) tables contain CNondet; stepped execution
        resolves it from the recorded choice list, scheduled execution asks
-       its handler (which may hold a seeded generator) *)
+       its scheduler (which may hold a seeded generator) *)
     match rt.mode with
     | Nested ->
       error "machine %s #%d: nondeterministic '*' outside stepped mode"
         ctx.table.mt_name ctx.self
-    | Scheduled _ -> Rt_value.Bool (Effect.perform (Sched_choose ctx))
+    | Scheduled sc -> Rt_value.Bool (sc.sc_choose ctx)
     | Stepped sp -> (
       match sp.sp_choices with
       | [] -> raise Choice_needed
@@ -244,10 +248,8 @@ let rec eval rt (ctx : Context.t) (e : Tables.cexpr) : Rt_value.t =
         sp.sp_choices <- rest;
         Rt_value.Bool b))
 
-and call_foreign rt ctx name values =
-  match Hashtbl.find_opt rt.foreigns name with
-  | Some fn -> fn ctx values
-  | None -> error "foreign function %s is not registered" name
+and call_foreign rt ctx f args =
+  rt.foreigns.(ctx.ty).(f) ctx (List.map (eval rt ctx) args)
 
 let assign (ctx : Context.t) x v =
   let v =
@@ -283,38 +285,40 @@ let raise_overflow rt dst e =
   in
   raise (Mailbox_overflow { dst; event = event_name rt e; capacity })
 
+(* Quantum expiry, Scheduled mode only, and only at block boundaries:
+   before a dequeue and before handling a raised event. Raised events
+   count against the quantum too (CRaise decrements it), otherwise a
+   raise-driven generator (entry sends, raises, re-enters) never reaches
+   the dequeue point and holds its scheduler forever. *)
+let expired rt (ctx : Context.t) =
+  match (rt.mode, ctx.agenda) with
+  | Scheduled sc, ([] | Context.Handle _ :: _) when sc.sc_left <= 0 ->
+    sc.sc_preempted <- true;
+    true
+  | _ -> false
+
+(* DEQUEUE — under a stepped-mode fault plan this is a fault point (one
+   index per attempt with something dequeuable, exactly like the
+   interpreter); a delay fault takes the second dequeuable entry *)
+let dequeue rt (ctx : Context.t) =
+  match rt.mode with
+  | Scheduled _ -> Context.dequeue ctx
+  | Nested | Stepped _ ->
+    with_lock rt (fun () ->
+        match (rt.mode, rt.fault_plan) with
+        | Stepped _, Some plan when Context.has_dequeuable ctx ->
+          let index = rt.fseq in
+          rt.fseq <- index + 1;
+          if P_semantics.Fault.on_dequeue plan ~index then Context.dequeue_second ctx
+          else Context.dequeue ctx
+        | _ -> Context.dequeue ctx)
+
 let rec run_machine rt (ctx : Context.t) : unit =
   let continue = ref true in
-  while !continue && ctx.alive && not (stepped_yield rt) do
-    (* Preemption point — only at block boundaries: before a dequeue and
-       before handling a raised event. Raised events count against the
-       quantum too (CRaise decrements it), otherwise a raise-driven
-       generator (entry sends, raises, re-enters) never reaches the
-       dequeue point and holds its scheduler forever. *)
-    (match (rt.mode, ctx.agenda) with
-    | Scheduled sc, ([] | Context.Handle _ :: _) ->
-      if sc.sc_left <= 0 then begin
-        Effect.perform (Sched_yield ctx);
-        sc.sc_left <- sc.sc_quantum
-      end
-    | _ -> ());
+  while !continue && ctx.alive && not (stepped_yield rt) && not (expired rt ctx) do
     match ctx.agenda with
     | [] -> (
-      (* DEQUEUE — under a stepped-mode fault plan this is a fault point
-         (one index per attempt with something dequeuable, exactly like the
-         interpreter); a delay fault takes the second dequeuable entry *)
-      let entry =
-        with_lock rt (fun () ->
-            match (rt.mode, rt.fault_plan) with
-            | Stepped _, Some plan when Context.has_dequeuable ctx ->
-              let index = rt.fseq in
-              rt.fseq <- index + 1;
-              if P_semantics.Fault.on_dequeue plan ~index then
-                Context.dequeue_second ctx
-              else Context.dequeue ctx
-            | _ -> Context.dequeue ctx)
-      in
-      match entry with
+      match dequeue rt ctx with
       | None -> continue := false
       | Some (e, v) ->
         rt.n_dequeued <- rt.n_dequeued + 1;
@@ -322,7 +326,8 @@ let rec run_machine rt (ctx : Context.t) : unit =
         (match rt.meters with
         | None -> ()
         | Some m -> P_obs.Metrics.incr m.rm_dequeues);
-        emit rt (Rt_trace.Dequeued { mid = ctx.self; event = event_name rt e });
+        if tracing rt then
+          emit rt (Rt_trace.Dequeued { mid = ctx.self; event = event_name rt e });
         ctx.msg <- Some e;
         ctx.arg <- v;
         ctx.agenda <- [ Context.Handle (e, v) ])
@@ -350,7 +355,8 @@ and exec_task rt (ctx : Context.t) task rest =
     | [] -> error "machine %s #%d: no frame to enter" ctx.table.mt_name ctx.self
     | frame :: _ ->
       frame.f_state <- target;
-      emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
+      if tracing rt then
+        emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
       ctx.agenda <- Context.Exec (Context.state_table ctx target).st_entry :: rest)
   | Context.Exec code -> exec_code rt ctx code rest
 
@@ -369,7 +375,8 @@ and handle_event rt (ctx : Context.t) e v =
         let amap = push_amap ctx frame.f_state frame.f_amap in
         ctx.frames <-
           { Context.f_state = target; f_amap = amap; f_cont = [] } :: ctx.frames;
-        emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
+        if tracing rt then
+          emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
         ctx.agenda <- [ Context.Exec (Context.state_table ctx target).st_entry ]
       | None -> (
         let action =
@@ -407,10 +414,10 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
   | Tables.CNew (x, ty, inits) -> (
     let values = List.map (fun (y, e) -> (y, eval rt ctx e)) inits in
     match rt.mode with
-    | Scheduled _ ->
-      (* the handler owns instance creation: it may place the child on
+    | Scheduled sc ->
+      (* the scheduler owns instance creation: it may place the child on
          another shard and decides when its entry statement runs *)
-      let handle = Effect.perform (Sched_spawn { creator = ctx; ty; inits = values }) in
+      let handle = sc.sc_spawn ~creator:ctx.self ty values in
       assign ctx x (Rt_value.Machine handle);
       ctx.agenda <- rest
     | Nested | Stepped _ ->
@@ -426,7 +433,7 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
         (* the fresh machine preempts its creator, as in the d=0 schedule *)
         ignore (run_if_idle rt child : bool))
   | Tables.CDelete ->
-    emit rt (Rt_trace.Deleted { mid = ctx.self });
+    if tracing rt then emit rt (Rt_trace.Deleted { mid = ctx.self });
     with_lock rt (fun () ->
         ctx.alive <- false;
         Hashtbl.remove rt.instances ctx.self);
@@ -442,13 +449,11 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
       let v = eval rt ctx payload in
       ctx.agenda <- rest;
       match rt.mode with
-      | Scheduled _ ->
-        (* the handler routes the send (possibly cross-shard); a serving
+      | Scheduled sc ->
+        (* the scheduler routes the send (possibly cross-shard); a serving
            scheduler may shed at a bounded mailbox — machine code cannot
-           react to backpressure, so the drop is the handler's to count *)
-        let (_ : Context.backpressure) =
-          Effect.perform (Sched_send { src = ctx; dst; event = e; payload = v })
-        in
+           react to backpressure, so the drop is the scheduler's to count *)
+        let (_ : Context.backpressure) = sc.sc_send ~src:ctx.self dst e v in
         ()
       | Nested | Stepped _ -> (
         match deliver rt ~src:ctx.self dst e v with
@@ -480,12 +485,11 @@ and exec_code rt (ctx : Context.t) (code : Tables.code) rest =
       let amap = push_amap ctx frame.f_state frame.f_amap in
       ctx.frames <-
         { Context.f_state = target; f_amap = amap; f_cont = rest } :: ctx.frames;
-      emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
+      if tracing rt then
+        emit rt (Rt_trace.Entered { mid = ctx.self; state = state_name ctx target });
       ctx.agenda <- [ Context.Exec (Context.state_table ctx target).st_entry ])
   | Tables.CForeign_stmt (f, args) ->
-    let fs = ctx.table.mt_foreigns.(f) in
-    let values = List.map (eval rt ctx) args in
-    let _ = call_foreign rt ctx fs.fs_name values in
+    let (_ : Rt_value.t) = call_foreign rt ctx f args in
     ctx.agenda <- rest
 
 (* ------------------------------------------------------------------ *)
@@ -508,12 +512,12 @@ and adopt_instance rt ~self ~creator ty : Context.t =
   (match rt.meters with
   | None -> ()
   | Some m -> P_obs.Metrics.incr m.rm_creates);
-  emit rt
-    (Rt_trace.Created
-       { creator; created = ctx.Context.self; kind = ctx.Context.table.mt_name });
-  emit rt
-    (Rt_trace.Entered
-       { mid = ctx.Context.self; state = state_name ctx 0 });
+  if tracing rt then begin
+    emit rt
+      (Rt_trace.Created
+         { creator; created = ctx.Context.self; kind = ctx.Context.table.mt_name });
+    emit rt (Rt_trace.Entered { mid = ctx.Context.self; state = state_name ctx 0 })
+  end;
   ctx
 
 and create_instance rt ~creator ty : Context.t =
@@ -563,12 +567,13 @@ and deliver rt ~src dst e v : Context.backpressure =
     error "send to deleted machine #%d (event %s)" dst (event_name rt e)
   | Some (_, Context.Enq_overflow) -> Context.Shed
   | Some (target, (Context.Enq_ok | Context.Enq_duplicate)) ->
-    emit rt
-      (Rt_trace.Sent
-         { src;
-           dst;
-           event = event_name rt e;
-           payload = Fmt.str "%a" Rt_value.pp v });
+    if tracing rt then
+      emit rt
+        (Rt_trace.Sent
+           { src;
+             dst;
+             event = event_name rt e;
+             payload = Fmt.str "%a" Rt_value.pp v });
     if is_stepped rt then begin
       (* SEND is a scheduling point: enqueue only, stop at the block
          boundary; the schedule decides when the receiver runs *)

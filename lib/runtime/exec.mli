@@ -5,7 +5,11 @@
     causal schedule); a send to a busy machine only enqueues. The runtime
     lock protects instance bookkeeping and inboxes but is never held while
     machine code runs, so host threads drive disjoint machines in
-    parallel. Most callers use the {!Api} wrapper. *)
+    parallel. Most callers use the {!Api} wrapper.
+
+    Single-owner invariant: a runtime in [Scheduled] mode belongs to the
+    one domain running its {!Sched}; only that domain may touch it, so in
+    that mode no operation takes the lock. *)
 
 module Tables = P_compile.Tables
 
@@ -28,39 +32,27 @@ type stepped = {
 exception Choice_needed
 (** A [*] was evaluated past the end of [sp_choices]. *)
 
-(** Scheduled (effects) mode: sends, spawns, [*] choices and quantum
-    expiry perform effects handled by a {!Sched} fiber handler, so one
-    domain multiplexes many machines without per-machine threads.
-    [sc_left] is the running fiber's remaining dequeue budget; at zero the
-    machine loop performs {!Sched_yield} at its next dequeue point. *)
+(** Scheduled mode: machine code calls the owning {!Sched}'s send, spawn
+    and [*] functions directly, so one domain multiplexes many machines
+    without per-machine threads or fibers. [sc_left] is the running
+    machine's remaining dequeue budget; at zero, {!run_machine} returns at
+    its next block boundary (before a dequeue or a raised-event handle)
+    with [sc_preempted] set, and the scheduler re-queues the machine. *)
 type sched_mode = {
   sc_quantum : int;
   mutable sc_left : int;
+  mutable sc_preempted : bool;
+  sc_send : src:int -> int -> int -> Rt_value.t -> Context.backpressure;
+      (** [sc_send ~src dst event payload] *)
+  sc_spawn : creator:int -> int -> (int * Rt_value.t) list -> int;
+      (** [sc_spawn ~creator ty inits] returns the child's handle *)
+  sc_choose : Context.t -> bool;  (** resolves a ghost [*] *)
 }
 
 type mode =
   | Nested  (** run-to-completion on the calling thread (the d = 0 schedule) *)
   | Stepped of stepped  (** differential replay via {!step_block} *)
-  | Scheduled of sched_mode  (** cooperative fibers under a {!Sched} handler *)
-
-(** The effects performed by machine code in [Scheduled] mode; handled
-    exclusively by [Sched.run_fiber]. *)
-type _ Effect.t +=
-  | Sched_send : {
-      src : Context.t;
-      dst : int;
-      event : int;
-      payload : Rt_value.t;
-    }
-      -> Context.backpressure Effect.t
-  | Sched_spawn : {
-      creator : Context.t;
-      ty : int;
-      inits : (int * Rt_value.t) list;
-    }
-      -> int Effect.t
-  | Sched_yield : Context.t -> unit Effect.t
-  | Sched_choose : Context.t -> bool Effect.t
+  | Scheduled of sched_mode  (** direct calls into one domain's {!Sched} *)
 
 exception
   Mailbox_overflow of {
@@ -84,13 +76,14 @@ type t = {
   driver : Tables.driver;
   instances : (int, Context.t) Hashtbl.t;
   mutable next_handle : int;
-  foreigns : (string, foreign_fn) Hashtbl.t;
+  foreigns : foreign_fn array array;
+      (** per machine type, per [mt_foreigns] index *)
   lock : Mutex.t;
   mutable trace_hook : (Rt_trace.item -> unit) option;
   mutable meters : rt_meters option;
   mutable mode : mode;
       (** [Stepped _] only inside {!step_block}; [Scheduled _] only under a
-          {!Sched} handler *)
+          {!Sched} *)
   mutable default_capacity : int;
       (** mailbox capacity for instances created from here on *)
   mutable n_dequeued : int;  (** events processed, all modes *)
@@ -107,13 +100,10 @@ val set_mailbox_capacity : t -> int -> unit
     instances keep their capacity). Raises [Invalid_argument] when not
     positive; the default is [max_int] (the semantics' unbounded queues). *)
 
-val scheduled_mode : t -> quantum:int -> unit
-(** Switch the runtime into [Scheduled] mode with the given per-activation
-    dequeue budget. Only a {!Sched} handler should call this. *)
-
-val reset_quantum : t -> unit
-(** Refill the running fiber's dequeue budget (called by the scheduler at
-    each activation boundary); no-op outside [Scheduled] mode. *)
+val scheduled_mode : t -> sched_mode -> unit
+(** Switch the runtime into [Scheduled] mode for good, calling into the
+    given scheduler functions. Only {!Sched.create} should call this.
+    Raises [Invalid_argument] when the quantum is not positive. *)
 
 val events_dequeued : t -> int
 (** Events processed since [create], any mode — a cheap stat read. *)
@@ -133,11 +123,18 @@ val set_fault_plan : t -> P_semantics.Fault.plan option -> unit
     option-match. *)
 val set_metrics : t -> P_obs.Metrics.t option -> unit
 val register_foreign : t -> string -> foreign_fn -> unit
+(** Every machine type declaring a foreign [name] calls [fn] from now on
+    (replacing an earlier registration). Calling a foreign nobody
+    registered raises {!Runtime_error}. *)
+
 val find_instance : t -> int -> Context.t option
 
 val emit : t -> Rt_trace.item -> unit
 (** Feed the trace hook, if set (the scheduler emits [Sent] items so the
-    effects driver's observable trace matches the nested driver's). *)
+    scheduled driver's observable trace matches the nested driver's). *)
+
+val tracing : t -> bool
+(** A trace hook is installed: build items only when this holds. *)
 
 val event_name : t -> int -> string
 
@@ -170,7 +167,8 @@ val raise_overflow : t -> int -> int -> 'a
     (looks up the target's capacity for the report). *)
 
 val run_machine : t -> Context.t -> unit
-(** One drain pass (no claim); internal, exposed for tests. *)
+(** One drain pass (no claim). In [Scheduled] mode it also returns when
+    the quantum expires, with [sc_preempted] set. *)
 
 val eval : t -> Context.t -> Tables.cexpr -> Rt_value.t
 (** Evaluate a table expression in a machine context; exposed so

@@ -12,7 +12,21 @@ type t =
   | Event of int  (** event id *)
   | Machine of int  (** machine instance handle *)
 
-let equal (a : t) (b : t) = a = b
+let equal (a : t) (b : t) =
+  match (a, b) with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y | Event x, Event y | Machine x, Machine y -> Int.equal x y
+  | (Null | Bool _ | Int _ | Event _ | Machine _), _ -> false
+
+(* Monomorphic and cheap: a bucket index only needs distinct low bits for
+   the few values one inbox holds. *)
+let hash = function
+  | Null -> 0x2f
+  | Bool b -> Bool.to_int b + 0x3f
+  | Int i -> i
+  | Event e -> e lxor 0x5555
+  | Machine m -> m lxor 0x2aaa
 
 let pp ppf = function
   | Null -> Fmt.string ppf "null"

@@ -11,6 +11,10 @@ type t =
   | Machine of int  (** machine instance handle *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** Agrees with {!equal}: equal values hash alike. *)
+
 val pp : t Fmt.t
 
 exception Type_error of string

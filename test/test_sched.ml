@@ -1,4 +1,4 @@
-(* The effects scheduler ({!P_runtime.Sched}) and the sharded serving
+(* The cooperative scheduler ({!P_runtime.Sched}) and the sharded serving
    runtime ({!P_runtime.Shard}):
 
    - the Causal policy is observably trace-identical to the historical
@@ -88,7 +88,91 @@ let test_quantum_preemption () =
   check state_t "completes under a 1-dequeue quantum" (Some "Finished")
     (Api.current_state_name (Sched.exec s) h);
   let st = Sched.stats s in
-  check bool_t "fibers were preempted" true (st.Sched.st_yields > 0)
+  check bool_t "machines were preempted" true (st.Sched.st_yields > 0)
+
+(* A seeded raise-driven generator, the USB stack's ghost OS shape: a
+   ghost machine whose entry sends, raises and re-enters its own state,
+   resolving [*] from the scheduler's seed, feeding a real driver that
+   walks a raise-driven state pair per request and absorbs repeated pings
+   with ⊕. Its only dequeue points are the driver's; the generator is
+   preempted at raised-event boundaries alone. *)
+let generator_program () =
+  let open P_syntax.Builder in
+  program
+    ~events:
+      [ event "Req" ~payload:P_syntax.Ptype.Int; event "Ping"; event "unit"; event "Done" ]
+    ~machines:
+      [ machine "OS" ~ghost:true
+          ~vars:
+            [ var_decl "drv" P_syntax.Ptype.Machine_id; var_decl "n" P_syntax.Ptype.Int ]
+          [ state "Boot"
+              ~entry:
+                (seq
+                   [ assign "n" (int 0);
+                     new_ "drv" "Drv" [ ("served", int 0) ];
+                     raise_ "unit" ]);
+            state "Gen"
+              ~entry:
+                (when_
+                   (v "n" < int 24)
+                   (seq
+                      [ assign "n" (v "n" + int 1);
+                        if_ nondet
+                          (send (v "drv") "Req" ~payload:(v "n"))
+                          (send (v "drv") "Ping");
+                        if_nondet (send (v "drv") "Ping");
+                        raise_ "unit" ])) ]
+          ~steps:[ ("Boot", "unit", "Gen"); ("Gen", "unit", "Gen") ];
+        machine "Drv"
+          ~vars:[ var_decl "served" P_syntax.Ptype.Int ]
+          ~actions:[ action "Count" (assign "served" (v "served" + int 1)) ]
+          [ state "Ready" ~entry:skip;
+            state "Work" ~entry:(seq [ assign "served" (v "served" + arg); raise_ "Done" ]) ]
+          ~steps:[ ("Ready", "Req", "Work"); ("Work", "Done", "Ready") ]
+          ~bindings:[ on ("Ready", "Ping") ~do_:"Count" ] ]
+    "OS"
+
+(* The Fifo serving order, pinned: every (mid, event) dequeue in order,
+   rendered and digested, plus the yield / activation / dequeue counts.
+   The golden values were recorded before the scheduler loop was
+   rewritten without fibers; any change to activation order, preemption
+   points or quantum accounting moves them. *)
+let fifo_order driver mains ~quantum =
+  let s = Sched.create ~policy:Sched.Fifo ~quantum ~seed:7 driver in
+  let buf = Buffer.create 1024 in
+  Api.set_trace_hook (Sched.exec s)
+    (Some
+       (function
+       | Rt_trace.Dequeued { mid; event } -> Printf.bprintf buf "%d:%s;" mid event
+       | _ -> ()));
+  List.iter (fun main -> ignore (Sched.create_machine s main : int)) mains;
+  Sched.run s;
+  let st = Sched.stats s in
+  ( Buffer.length buf,
+    Digest.to_hex (Digest.string (Buffer.contents buf)),
+    st.Sched.st_yields,
+    st.Sched.st_activations,
+    st.Sched.st_dequeues )
+
+let test_fifo_order_pinned () =
+  let pingpong = compile (P_examples_lib.Pingpong.program ~rounds:8 ()) in
+  let generator = P_compile.Compile.compile_full (generator_program ()) in
+  let pinned = Alcotest.(pair (pair int string) (triple int int int)) in
+  List.iter
+    (fun (name, driver, mains, quantum, (len, digest, yields, acts, deqs)) ->
+      let len', digest', yields', acts', deqs' = fifo_order driver mains ~quantum in
+      check pinned
+        (Printf.sprintf "%s at quantum %d" name quantum)
+        ((len, digest), (yields, acts, deqs))
+        ((len', digest'), (yields', acts', deqs')))
+    [ ( "pingpong", pingpong, [ "Pinger"; "Pinger"; "Pinger" ], 1,
+        (357, "2443950365b86006e53c0b0db31ffac7", 105, 162, 51) );
+      ( "pingpong", pingpong, [ "Pinger"; "Pinger"; "Pinger" ], 3,
+        (357, "2443950365b86006e53c0b0db31ffac7", 3, 57, 51) );
+      ( "generator", generator, [ "OS"; "OS" ], 1,
+        (236, "80ebbfe98822430a0c7e6268898cd917", 110, 116, 37) );
+      ( "generator", generator, [ "OS"; "OS" ], 3,
+        (208, "e6653b9480edc5fc09de94939ebdeef1", 33, 39, 33) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Backpressure, layer by layer                                        *)
@@ -505,10 +589,166 @@ let test_shard_crash_restart () =
   check int_t "within the bound: nothing shed" 0 st.Shard.sh_shed_mailbox;
   check int_t "every ingress slot released" 0 st.Shard.sh_pending
 
+(* ------------------------------------------------------------------ *)
+(* Observability off costs zero                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per event of [feed] over [n] events, once with no trace
+   hook and once with a counting hook (which allocates nothing itself),
+   after a warm-up; also the items the hook saw per event. *)
+let hook_costs rt ~n feed =
+  let measure () =
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      feed i
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  for i = 0 to n - 1 do
+    feed i
+  done;
+  Api.set_trace_hook rt None;
+  let off = measure () in
+  let items = ref 0 in
+  Api.set_trace_hook rt (Some (fun _ -> incr items));
+  let on = measure () in
+  Api.set_trace_hook rt None;
+  (off, on, float_of_int !items /. float_of_int n)
+
+let test_obs_off_api () =
+  let rt = Api.create (compile (P_examples_lib.Switch_led.program ())) in
+  Api.register_foreign rt "set_led" (fun _ _ -> Rt_value.Null);
+  let h = Api.create_machine rt "SwitchLed" in
+  let off, on, items =
+    hook_costs rt ~n:4000 (fun i ->
+        Api.add_event rt h (if i land 1 = 0 then "SwitchOn" else "SwitchOff") Rt_value.Null)
+  in
+  check bool_t "no hook allocates strictly less per event" true (off < on);
+  check (Alcotest.float 0.0) "items per event under the hook" 3.0 items
+
+let test_obs_off_sched () =
+  let driver = compile (sink_program ()) in
+  let s = Sched.create ~policy:Sched.Fifo driver in
+  let sinks = Array.init 20 (fun _ -> Sched.create_machine s "M") in
+  Sched.run s;
+  let e = Option.get (P_compile.Tables.event_id_of_name driver "E") in
+  let off, on, items =
+    hook_costs (Sched.exec s) ~n:4000 (fun i ->
+        let (_ : Context.backpressure) =
+          Sched.post s ~src:(-1) sinks.(i mod Array.length sinks) e (Rt_value.Int i)
+        in
+        if i mod Array.length sinks = Array.length sinks - 1 then Sched.run s)
+  in
+  check bool_t "no hook allocates strictly less per event" true (off < on);
+  check (Alcotest.float 0.0) "items per event under the hook" 3.0 items
+
+(* ------------------------------------------------------------------ *)
+(* Foreign resolution                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Each [E(i)] stores [f(i)] into [x] through a foreign call. *)
+let foreign_program () =
+  let open P_syntax.Builder in
+  program
+    ~events:[ event "E" ~payload:P_syntax.Ptype.Int; event "unit" ]
+    ~machines:
+      [ machine "M"
+          ~vars:[ var_decl "x" P_syntax.Ptype.Int ]
+          ~foreigns:
+            [ foreign ~params:[ P_syntax.Ptype.Int ] ~ret:P_syntax.Ptype.Int "f" ]
+          [ state "Idle" ~entry:skip;
+            state "Work" ~entry:(seq [ assign "x" (fcall "f" [ arg ]); raise_ "unit" ]) ]
+          ~steps:[ ("Idle", "E", "Work"); ("Work", "unit", "Idle") ] ]
+    "M"
+
+let x_of rt h =
+  match Exec.find_instance rt h with
+  | Some ctx -> ctx.Context.vars.(0)
+  | None -> Rt_value.Null
+
+let runtime_error f =
+  match f () with
+  | () -> "no error"
+  | exception Exec.Runtime_error m -> m
+
+let test_foreign_unregistered () =
+  let driver = compile (foreign_program ()) in
+  let nested =
+    runtime_error (fun () ->
+        let rt = Api.create driver in
+        let h = Api.create_machine rt "M" in
+        Api.add_event rt h "E" (Rt_value.Int 1))
+  in
+  let scheduled policy =
+    runtime_error (fun () ->
+        let s = Sched.create ~policy driver in
+        let h = Sched.create_machine s "M" in
+        ignore (Sched.add_event s h "E" (Rt_value.Int 1) : Context.backpressure);
+        Sched.run s)
+  in
+  let expected = "foreign function f is not registered" in
+  check Alcotest.string "nested" expected nested;
+  check Alcotest.string "scheduled, causal" expected (scheduled Sched.Causal);
+  check Alcotest.string "scheduled, fifo" expected (scheduled Sched.Fifo)
+
+let test_foreign_reregister () =
+  let driver = compile (foreign_program ()) in
+  let plus k _ = function [ Rt_value.Int i ] -> Rt_value.Int (i + k) | _ -> Rt_value.Null in
+  (* nested: the first registration comes after the instance exists *)
+  let rt = Api.create driver in
+  let h = Api.create_machine rt "M" in
+  Api.register_foreign rt "f" (plus 1);
+  Api.add_event rt h "E" (Rt_value.Int 1);
+  check bool_t "nested: first registration" true (x_of rt h = Rt_value.Int 2);
+  Api.register_foreign rt "f" (plus 100);
+  Api.add_event rt h "E" (Rt_value.Int 2);
+  check bool_t "nested: re-registration replaces" true (x_of rt h = Rt_value.Int 102);
+  let s = Sched.create ~policy:Sched.Fifo driver in
+  Api.register_foreign (Sched.exec s) "f" (plus 1);
+  let h = Sched.create_machine s "M" in
+  ignore (Sched.add_event s h "E" (Rt_value.Int 1) : Context.backpressure);
+  Sched.run s;
+  check bool_t "scheduled: first registration" true (x_of (Sched.exec s) h = Rt_value.Int 2);
+  Api.register_foreign (Sched.exec s) "f" (plus 100);
+  ignore (Sched.add_event s h "E" (Rt_value.Int 2) : Context.backpressure);
+  Sched.run s;
+  check bool_t "scheduled: re-registration replaces" true
+    (x_of (Sched.exec s) h = Rt_value.Int 102)
+
+let test_foreign_per_shard () =
+  let driver = compile (foreign_program ()) in
+  let t = Shard.create ~shards:2 driver in
+  let calls = Array.make 2 0 in
+  Shard.register_foreign_per_shard t "f" (fun shard _ _ ->
+      calls.(shard) <- calls.(shard) + 1;
+      Rt_value.Int shard);
+  let machines = Array.init 16 (fun _ -> Shard.create_machine t "M") in
+  let homes = Array.map (Shard.home t) machines in
+  check bool_t "both shards host machines" true
+    (Array.mem 0 homes && Array.mem 1 homes);
+  let e = Shard.event_id t "E" in
+  Shard.start t;
+  Array.iter
+    (fun h -> ignore (Shard.post t h ~event:e (Rt_value.Int 0) : Context.backpressure))
+    machines;
+  check bool_t "quiesced" true (Shard.quiesce ~timeout_s:60.0 t);
+  ignore (Shard.stop t : Shard.stats);
+  Array.iteri
+    (fun i h ->
+      check bool_t "each machine ran its own shard's closure" true
+        (x_of (Shard.exec_of t homes.(i)) h = Rt_value.Int homes.(i)))
+    machines;
+  for shard = 0 to 1 do
+    check int_t "one call per hosted machine"
+      (Array.fold_left (fun n s -> if s = shard then n + 1 else n) 0 homes)
+      calls.(shard)
+  done
+
 let suite =
   [ Alcotest.test_case "causal policy ≡ nested driver" `Quick test_causal_matches_nested;
     Alcotest.test_case "fifo serving completes pingpong" `Quick test_fifo_completes;
     Alcotest.test_case "quantum preemption" `Quick test_quantum_preemption;
+    Alcotest.test_case "fifo serving order pinned" `Quick test_fifo_order_pinned;
     Alcotest.test_case "context mailbox capacity" `Quick test_context_capacity;
     Alcotest.test_case "api backpressure contract" `Quick test_api_backpressure;
     Alcotest.test_case "scheduler sheds at bounded mailboxes" `Quick test_sched_mailbox_shed;
@@ -527,4 +767,9 @@ let suite =
     Alcotest.test_case "shard fault conservation" `Quick test_shard_fault_conservation;
     Alcotest.test_case "shard dead letters under drops" `Quick
       test_shard_dead_letters_exact_under_drops;
-    Alcotest.test_case "shard crash-restart" `Quick test_shard_crash_restart ]
+    Alcotest.test_case "shard crash-restart" `Quick test_shard_crash_restart;
+    Alcotest.test_case "observability off: api" `Quick test_obs_off_api;
+    Alcotest.test_case "observability off: sched" `Quick test_obs_off_sched;
+    Alcotest.test_case "foreign: unregistered" `Quick test_foreign_unregistered;
+    Alcotest.test_case "foreign: re-registration" `Quick test_foreign_reregister;
+    Alcotest.test_case "foreign: per shard" `Quick test_foreign_per_shard ]
